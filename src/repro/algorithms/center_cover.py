@@ -23,14 +23,21 @@ as coverage ``D`` grows — the practical speedup the paper anticipates
 using appropriate data structures").  Candidate balls come from the
 backend's radius-bucketed neighbor index
 (:meth:`~repro.core.backend.DistanceBackend.neighbor_order`): one lazy
-distance row per center, bucketed once, so enumeration never rescans
-all ``|V|`` rows per (center, radius) pair and the full ``n x n``
-nested-list matrix is never materialized.
+distance row per center, sorted once (one stable ``argsort`` on the
+numpy backends), so enumeration never rescans all ``|V|`` rows per
+(center, radius) pair and the full ``n x n`` nested-list matrix is
+never materialized.  Each center's ball boundaries are found by binary
+search over its sorted distances — ``O(#radii log n)``, with at most
+``m + 1`` realized radii — and the candidate heap is built with one
+``heapify``.  Ratios stay exact ``Fraction`` s, and since every live
+heap entry has a distinct (center, prefix) the pop order, hence the
+release, does not depend on how the heap was built.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from fractions import Fraction
 
 from repro.algorithms.base import AnonymizationResult, Anonymizer
@@ -78,19 +85,23 @@ def build_ball_cover(
     # center — the full n x n matrix is never materialized); candidates
     # are the prefixes ending at a distance boundary with at least k
     # members, i.e. exactly the balls S_{c, r} over realized radii r.
+    # A binary search per realized radius finds each boundary, and the
+    # heap is built once: every live entry has a distinct (center,
+    # prefix), so the pop order does not depend on the heap's layout.
     orders: list[tuple[int, ...]] = []
     heap: list[tuple[Fraction, int, int, int, int]] = []
     for c in range(n):
         order, dists = metric.neighbor_order(c)
         orders.append(order)
-        for p in range(k, n + 1):
-            is_boundary = p == n or dists[p] > dists[p - 1]
-            if not is_boundary:
-                continue
-            radius = dists[p - 1]
-            d_est = min(2 * radius, m)
+        p = bisect_right(dists, dists[k - 1])
+        while True:
+            d_est = min(2 * dists[p - 1], m)
             # heap entry: (ratio, diameter estimate, center, prefix, stale new-count)
-            heapq.heappush(heap, (Fraction(d_est, p), d_est, c, p, p))
+            heap.append((Fraction(d_est, p), d_est, c, p, p))
+            if p == n:
+                break
+            p = bisect_right(dists, dists[p], p)
+    heapq.heapify(heap)
 
     exact_diams: dict[tuple[int, int], int] = {}
 

@@ -33,7 +33,7 @@ gives those primitives a single pluggable home:
 
 Backend selection: the ``REPRO_BACKEND`` environment variable
 (``python``, ``numpy``, or ``bitpacked``) picks the default for the
-whole process; unset, the numpy backend is used whenever numpy imports.
+whole process; unset, the numpy backend is used.
 Every :class:`~repro.algorithms.base.Anonymizer` also accepts an
 explicit ``backend=`` argument (a name or a backend instance).
 
@@ -47,7 +47,7 @@ import abc
 import os
 import weakref
 from bisect import bisect_right
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable
 from typing import Any
 
 from repro.core.alphabet import STAR
@@ -64,25 +64,13 @@ Row = tuple[Hashable, ...]
 _CHUNK_CELLS = 4_000_000
 
 
-def numpy_available() -> bool:
-    """True iff numpy imports in this environment."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy ships with the package
-        return False
-    return True
-
-
 def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`make_backend` here and now."""
-    names = ["python"]
-    if numpy_available():
-        names.extend(["numpy", "bitpacked"])
-    return tuple(names)
+    """Names accepted by :func:`make_backend`."""
+    return tuple(_BACKEND_CLASSES)
 
 
 def default_backend_name() -> str:
-    """The process-wide default: ``$REPRO_BACKEND``, else numpy if present.
+    """The process-wide default: ``$REPRO_BACKEND``, else numpy.
 
     :raises ValueError: if ``REPRO_BACKEND`` names an unknown backend.
     """
@@ -93,12 +81,8 @@ def default_backend_name() -> str:
                 f"REPRO_BACKEND={name!r}: expected 'python', 'numpy', "
                 f"or 'bitpacked'"
             )
-        if name != "python" and not numpy_available():  # pragma: no cover
-            raise ValueError(
-                f"REPRO_BACKEND={name} but numpy is not importable"
-            )
         return name
-    return "numpy" if numpy_available() else "python"
+    return "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +383,17 @@ class DistanceBackend(abc.ABC):
     which the tests use to assert that the metaheuristics really run on
     the incremental path and that ball enumeration no longer rescans
     all rows per (center, radius) pair.
+
+    Subclasses supply the kernels behind the shared, memoized API:
+    ``distance`` and the ``_compute_*`` hooks.  Three hooks have
+    pure-Python defaults here that a fast backend overrides:
+    ``_compute_distance_row`` (one distance row, behind
+    :meth:`distance_row`), ``_compute_neighbor_order`` (the sort of
+    one row into ``(distance, index)`` order, behind
+    :meth:`neighbor_order`) and ``_compute_distances_from`` (distances
+    from one row to a member list, behind :meth:`distances_from` when
+    no memoized row can serve it).  The public methods keep the memos
+    and counters, so every backend is measured and cached alike.
     """
 
     #: short machine-readable identifier, overridden by subclasses
@@ -493,12 +488,19 @@ class DistanceBackend(abc.ABC):
         if cached is not None:
             self.counters["memo_hits"] += 1
             return cached
-        row = self.distance_row(center)
-        order = sorted(range(self.table.n_rows), key=lambda v: (row[v], v))
-        entry = (tuple(order), tuple(row[v] for v in order))
+        entry = self._compute_neighbor_order(self.distance_row(center))
         self._neighbor_memo[center] = entry
         self.counters["neighbor_orders"] += 1
         return entry
+
+    def _compute_neighbor_order(
+        self, row: list[int]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(order, dists)`` of one distance row, sorted by
+        ``(distance, index)``; the reference sort, which fast backends
+        override."""
+        order = sorted(range(len(row)), key=lambda v: (row[v], v))
+        return tuple(order), tuple(row[v] for v in order)
 
     def neighbors_within(self, center: int, r: int) -> list[int]:
         """Rows within distance *r* of row *center* (a ball's members).
@@ -558,9 +560,30 @@ class DistanceBackend(abc.ABC):
             STAR if j in starred else value for j, value in enumerate(first)
         )
 
+    def distances_from(self, center: int, indices: Iterable[int]) -> list[int]:
+        """Distances from row *center* to each row of *indices*, in order.
+
+        Read off *center*'s memoized distance row when one exists (the
+        ball cover builds one per row); otherwise only the listed rows
+        are compared, so no full row is built for a one-off query.
+        """
+        idx = list(indices)
+        row = (self._matrix[center] if self._matrix is not None
+               else self._row_memo.get(center))
+        if row is not None:
+            return [row[i] for i in idx]
+        return self._compute_distances_from(center, idx)
+
+    def _compute_distances_from(self, center: int, indices: list[int]) -> list[int]:
+        """Distances from *center* to *indices* over the raw rows; fast
+        backends override."""
+        rows = self.table.rows
+        row_c = rows[center]
+        return [_rows_distance(row_c, rows[i]) for i in indices]
+
     def radius_from(self, center: int, indices: Iterable[int]) -> int:
         """Max distance from row *center* to any row in *indices*."""
-        return max((self.distance(center, i) for i in indices), default=0)
+        return max(self.distances_from(center, indices), default=0)
 
     def group_stats(self, members: Iterable[int] = ()) -> MutableGroupStats:
         """A fresh incremental statistics tracker seeded with *members*."""
@@ -687,16 +710,25 @@ class NumpyBackend(DistanceBackend):
         mismatched = (codes[idx[1:]] != codes[idx[0]]).any(axis=0)
         return tuple(int(j) for j in np.flatnonzero(mismatched))
 
-    def radius_from(self, center: int, indices: Iterable[int]) -> int:
+    def _compute_distances_from(self, center: int, indices: list[int]) -> list[int]:
         import numpy as np
 
-        idx = list(indices)
-        if not idx:
-            return 0
+        sel = np.asarray(indices, dtype=np.intp)
         if self._np_matrix is not None:
-            return int(self._np_matrix[center, np.asarray(idx)].max())
+            return self._np_matrix[center, sel].tolist()
         codes = self.encoded.codes
-        return int((codes[np.asarray(idx)] != codes[center]).sum(axis=1).max())
+        return (codes[sel] != codes[center]).sum(axis=1).tolist()
+
+    def _compute_neighbor_order(
+        self, row: list[int]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # a stable sort over ascending indices is the (distance, index)
+        # order of the reference sort
+        import numpy as np
+
+        dists = np.fromiter(row, dtype=np.intp, count=len(row))
+        order = np.argsort(dists, kind="stable")
+        return tuple(order.tolist()), tuple(dists[order].tolist())
 
 
 #: 8-bit popcount lookup table, built on first use (numpy < 2.0 has no
@@ -825,22 +857,19 @@ class BitpackedBackend(NumpyBackend):
             best = max(best, int(diffs.max()))
         return best
 
-    def radius_from(self, center: int, indices: Iterable[int]) -> int:
+    def _compute_distances_from(self, center: int, indices: list[int]) -> list[int]:
         import numpy as np
 
-        idx = list(indices)
-        if not idx:
-            return 0
         if self._np_matrix is not None:
-            return int(self._np_matrix[center, np.asarray(idx)].max())
+            return super()._compute_distances_from(center, indices)
         lanes, wide = self.packed
-        sel = np.asarray(idx)
+        sel = np.asarray(indices, dtype=np.intp)
         dists = _lane_popcounts(lanes[sel] ^ lanes[center]).sum(
             axis=1, dtype=np.int64
         )
         if wide.shape[1]:
             dists += (wide[sel] != wide[center]).sum(axis=1)
-        return int(dists.max())
+        return dists.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -853,11 +882,6 @@ _BACKEND_CLASSES: dict[str, type[DistanceBackend]] = {
     "bitpacked": BitpackedBackend,
 }
 
-#: id(table) -> {backend name -> backend}; entries evicted when the
-#: table is garbage collected (tables carry a __weakref__ slot).
-_BACKEND_CACHE: dict[int, dict[str, DistanceBackend]] = {}
-
-
 def make_backend(table, name: str | None = None) -> DistanceBackend:
     """A fresh, uncached backend instance for *table*."""
     resolved = name if name is not None else default_backend_name()
@@ -868,10 +892,6 @@ def make_backend(table, name: str | None = None) -> DistanceBackend:
             f"unknown backend {resolved!r}; expected one of "
             f"{sorted(_BACKEND_CLASSES)}"
         ) from None
-    if resolved != "python" and not numpy_available():  # pragma: no cover
-        raise ValueError(
-            f"{resolved} backend requested but numpy is not importable"
-        )
     return cls(table)
 
 
@@ -879,6 +899,11 @@ def get_backend(
     table, backend: str | DistanceBackend | None = None
 ) -> DistanceBackend:
     """The shared backend of *table* (cached per table instance).
+
+    The cache lives on the table itself (see
+    :meth:`~repro.core.table.Table.backend_cache`), so a table and its
+    backends — memoized rows and neighbor orders included — are
+    collected together once nothing else refers to the table.
 
     :param backend: ``None`` (use :func:`default_backend_name`), a
         backend name, or an existing :class:`DistanceBackend` — an
@@ -891,15 +916,7 @@ def get_backend(
         name = backend.name
     else:
         name = backend if backend is not None else default_backend_name()
-    key = id(table)
-    per_table = _BACKEND_CACHE.get(key)
-    if per_table is None:
-        per_table = {}
-        _BACKEND_CACHE[key] = per_table
-        try:
-            weakref.finalize(table, _BACKEND_CACHE.pop, key, None)
-        except TypeError:  # pragma: no cover - non-weakrefable table stand-in
-            pass
+    per_table = table.backend_cache()
     instance = per_table.get(name)
     if instance is None:
         instance = make_backend(table, name)

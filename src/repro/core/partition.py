@@ -214,8 +214,15 @@ def split_into_small_groups(
     This implements the WLOG argument of Section 4.1: any group with 2k or
     more members can be split into two groups of at least k each, and the
     split "requires no more *s to k-anonymize it than the former one".
-    Splits peel off the k members closest to an arbitrary anchor, which
-    never increases (and usually decreases) total ANON cost.
+    Splits peel off the k members closest to an anchor (the first of
+    the remaining members), which never increases (and usually
+    decreases) total ANON cost.
+
+    Each peel asks the backend once for the anchor's distances to the
+    remaining members (:meth:`~repro.core.backend.DistanceBackend.distances_from`,
+    read off the anchor's memoized distance row when the cover phase
+    built one) and stable-sorts the members on them, so ties keep their
+    current order.
     """
     from repro.core.backend import get_backend
 
@@ -228,8 +235,9 @@ def split_into_small_groups(
         if len(members) < k:
             raise ValueError(f"group of size {len(members)} smaller than k={k}")
         while len(members) >= 2 * k:
-            anchor = members[0]
-            members.sort(key=lambda i: resolved.distance(anchor, i))
+            dists = resolved.distances_from(members[0], members)
+            ranked = sorted(range(len(members)), key=dists.__getitem__)
+            members = [members[t] for t in ranked]
             result.append(frozenset(members[:k]))
             members = members[k:]
         result.append(frozenset(members))

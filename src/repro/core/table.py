@@ -37,7 +37,7 @@ class Table:
     ('Harry', 34)
     """
 
-    __slots__ = ("_rows", "_attributes", "__weakref__")
+    __slots__ = ("_rows", "_attributes", "_backends", "__weakref__")
 
     def __init__(
         self,
@@ -66,6 +66,7 @@ class Table:
                 raise ValueError("attribute names must be unique")
         self._rows: tuple[Row, ...] = tuple(coerced)
         self._attributes: tuple[str, ...] = tuple(attributes)
+        self._backends: dict[str, Any] | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -237,6 +238,29 @@ class Table:
         if len(self._rows) > max_rows:
             lines.append(f"... ({len(self._rows) - max_rows} more rows)")
         return "\n".join(lines)
+
+    # ------------------------------------------------------------------
+    # Per-table backend cache
+    # ------------------------------------------------------------------
+
+    def backend_cache(self) -> dict[str, Any]:
+        """This table's distance backends by name, for
+        :func:`repro.core.backend.get_backend`.
+
+        The table holds its backends (which refer back to it), so the
+        two are collected together.  The cache is derived state: it is
+        left out of pickles and copies.
+        """
+        if self._backends is None:
+            self._backends = {}
+        return self._backends
+
+    def __getstate__(self) -> tuple[tuple[Row, ...], tuple[str, ...]]:
+        return self._rows, self._attributes
+
+    def __setstate__(self, state: tuple[tuple[Row, ...], tuple[str, ...]]) -> None:
+        self._rows, self._attributes = state
+        self._backends = None
 
     # ------------------------------------------------------------------
     # Equality & repr
